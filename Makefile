@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check vet staticcheck test race faultcheck determinism conformance allocguard routinggate introspect-smoke net-smoke replication-smoke cluster bench bench-json bench-guard benchscale kv-bench
+.PHONY: all build check vet staticcheck test race faultcheck determinism conformance allocguard routinggate introspect-smoke net-smoke replication-smoke scalecheck cluster bench bench-json bench-guard benchscale kv-bench
 
 all: check
 
@@ -19,9 +19,10 @@ staticcheck:
 		echo "staticcheck not installed; skipping"; \
 	fi
 
-# The verify loop: everything a change must pass before it lands.
+# The verify loop: everything a change must pass before it lands. This is
+# the one gate list; scripts/check.sh runs this target.
 # Set SKIP_BENCH_GUARD=1 to skip the benchmark regression guard.
-check: build vet staticcheck test race faultcheck determinism conformance allocguard routinggate introspect-smoke net-smoke replication-smoke bench-guard
+check: build vet staticcheck test race faultcheck determinism conformance allocguard routinggate introspect-smoke net-smoke replication-smoke scalecheck bench-guard
 
 test:
 	$(GO) test ./...
@@ -108,6 +109,13 @@ bench-json:
 # The full 10k/100k/1M ladder is `go run ./cmd/paperexp -run Scale`.
 benchscale:
 	$(GO) run ./cmd/paperexp -run Scale -quick -n 10000
+
+# Quick scale gate: one reduced build-and-drive pass through the Scale
+# experiment (peers/GB, events/sec). Catches OOM-class regressions in the
+# dense peer/finger tables; the full ladder is `make benchscale` and
+# `go run ./cmd/paperexp -run Scale`.
+scalecheck:
+	$(GO) run ./cmd/paperexp -run Scale -quick -n 2000 >/dev/null
 
 # Fail if BenchmarkEventEngine regresses >20% against the recorded baseline
 # (best of 3 runs, so a loaded machine does not read as a regression).

@@ -50,6 +50,11 @@ import (
 	"repro/internal/workload"
 )
 
+// traceRing is the capacity of the /trace event ring: 16x the default tail
+// /trace serves, and small enough that a node's memory does not grow with
+// the number of requests it has served.
+const traceRing = 1 << 12
+
 func main() { os.Exit(run()) }
 
 func run() int {
@@ -190,7 +195,7 @@ func run() int {
 	var sampler *core.HealthSampler
 	if *httpAddr != "" {
 		reg := obs.NewRegistry()
-		tr := obs.NewTracer(0)
+		tr := obs.NewTracer(traceRing)
 		sys.SetMetrics(reg)
 		sys.SetTracer(tr)
 		sampler = core.NewHealthSampler(sys, reg, cfg.HelloEvery)

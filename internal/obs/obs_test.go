@@ -93,6 +93,40 @@ func TestTracerWriteJSONL(t *testing.T) {
 	}
 }
 
+// TestTracerWriteJSONLTail checks the tail export of empty, partial, exactly
+// full and wrapped rings against the matching lines of a ring large enough
+// never to wrap.
+func TestTracerWriteJSONLTail(t *testing.T) {
+	for _, total := range []int{0, 3, 8, 13, 21} {
+		ring, ref := NewTracer(8), NewTracer(64)
+		for i := 0; i < total; i++ {
+			for _, tr := range []*Tracer{ring, ref} {
+				tr.Emit(EvLookupHop, runtime.Time(i), uint64(i), i, i+1, i%3, "")
+			}
+		}
+		var all bytes.Buffer
+		if err := ref.WriteJSONL(&all); err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(all.Bytes(), []byte("\n"))
+		lines = lines[:len(lines)-1] // the empty piece after the last newline
+		for _, n := range []int{0, 1, 3, 8, 20} {
+			k := min(total, 8)
+			if n > 0 && n < k {
+				k = n
+			}
+			want := bytes.Join(lines[len(lines)-k:], nil)
+			var got bytes.Buffer
+			if err := ring.WriteJSONLTail(&got, n); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%d events, tail %d:\ngot  %q\nwant %q", total, n, got.Bytes(), want)
+			}
+		}
+	}
+}
+
 func TestKindStrings(t *testing.T) {
 	for k := EvMsgSend; k <= EvLookupFail; k++ {
 		if k.String() == "" {

@@ -156,26 +156,34 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.eventsLocked()
+	_, events := t.snapshot(0)
+	return events
 }
 
-// eventsLocked copies the ring in emission order. Callers hold t.mu.
-func (t *Tracer) eventsLocked() []Event {
-	out := make([]Event, 0, len(t.buf))
-	out = append(out, t.buf[t.start:]...)
-	out = append(out, t.buf[:t.start]...)
-	return out
-}
-
-// snapshot returns the label and retained events under one lock acquisition,
-// so a concurrent SetLabel can never produce a torn label/event pairing in an
-// export.
-func (t *Tracer) snapshot() (string, []Event) {
+// snapshot returns the label and the last n retained events (all of them
+// when n <= 0) in emission order, under one lock acquisition, so a
+// concurrent SetLabel can never produce a torn label/event pairing in an
+// export. Only the returned events are copied.
+func (t *Tracer) snapshot(n int) (string, []Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.label, t.eventsLocked()
+	size := len(t.buf)
+	if n <= 0 || n > size {
+		n = size
+	}
+	out := make([]Event, 0, n)
+	if n == 0 {
+		return t.label, out
+	}
+	// The ring's logical position i (0 = oldest) is t.buf[(t.start+i)%size].
+	first := (t.start + size - n) % size
+	if first+n <= size {
+		out = append(out, t.buf[first:first+n]...)
+	} else {
+		out = append(out, t.buf[first:]...)
+		out = append(out, t.buf[:n-(size-first)]...)
+	}
+	return t.label, out
 }
 
 // LookupEvents returns the retained events for one lookup id, in emission
@@ -218,10 +226,7 @@ func (t *Tracer) WriteJSONLTail(w io.Writer, n int) error {
 	if t == nil {
 		return nil
 	}
-	label, events := t.snapshot()
-	if n > 0 && n < len(events) {
-		events = events[len(events)-n:]
-	}
+	label, events := t.snapshot(n)
 	enc := json.NewEncoder(w)
 	for _, e := range events {
 		je := jsonEvent{

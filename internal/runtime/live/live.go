@@ -1,26 +1,18 @@
-// Package live is the concurrent implementation of runtime.Runtime: real
-// goroutines, channels and time.Timer instead of a discrete-event loop. It
-// exists so the exact protocol code that reproduces the paper's figures under
+// Package live is the in-process implementation of runtime.Runtime: real
+// goroutines and a wall clock instead of a discrete-event loop. It exists so
+// the exact protocol code that reproduces the paper's figures under
 // internal/simnet can also run as a real in-process system (cmd/hybridnode):
 // same joins, same failure detectors, same lookups, now against a wall clock
 // with genuinely concurrent message delivery.
 //
 // # Execution model
 //
-// The hybrid protocol in internal/core was written for run-to-completion
-// semantics: a handler or timer callback runs alone, and peers share a
-// System (statistics, contact counters, the server's membership tables), so
-// per-node locking is not enough. The live runtime therefore serializes all
-// protocol execution behind one executor mutex — the direct analogue of the
-// DES dispatch loop — while keeping everything around it concurrent:
-//
-//   - each attached address has a mailbox goroutine, so message delivery is
-//     asynchronous, per-node FIFO, and overlapping across nodes;
-//   - timers are real time.AfterFunc firings that take the executor lock
-//     before running, with an epoch-free cancelled/fired flag checked under
-//     the lock (a stopped timer that already won the race to fire is a no-op);
-//   - external callers (cmd/hybridnode, tests) enter protocol state only
-//     through Do/Await, which take the same lock.
+// Execution is the shared wall-clock executor's (runtime.Executor): one
+// executor lock serializes every handler, timer callback and Do; each
+// attached address has a mailbox goroutine; timers are time.AfterFunc
+// firings; Await wakes on the turn that completes its condition. This
+// package adds only delivery: Send hands the message straight to the
+// destination's mailbox, optionally after an artificial Config.Delay.
 //
 // The guarantees relative to the DES runtime: per-node handler serialization
 // still holds (trivially — everything is serialized), message order between a
@@ -31,9 +23,6 @@
 package live
 
 import (
-	"fmt"
-	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/runtime"
@@ -60,145 +49,44 @@ type Config struct {
 // Sleep and Close are the external entry points and may be called from any
 // goroutine.
 type Runtime struct {
-	cfg   Config
-	start time.Time
+	*runtime.Executor
+	delay time.Duration
+	next  runtime.Addr
 
-	mu     sync.Mutex // the executor lock: all protocol execution holds it
-	rng    *rand.Rand
-	nodes  map[runtime.Addr]*node
-	next   runtime.Addr
-	closed bool
-
-	// delayed tracks in-flight cfg.Delay sends so Close can cancel them:
-	// without the ledger a firing scheduled before Close would touch the
-	// nodes map of a runtime that has already shut down.
+	// delayed tracks in-flight Delay sends so Close can cancel them:
+	// without the ledger a firing scheduled before Close would deliver
+	// into a runtime that has already shut down.
 	delayed    map[uint64]*time.Timer
 	delayedSeq uint64
-
-	wg sync.WaitGroup // live mailbox goroutines
 }
 
 // serverAddr is the bootstrap address handed to the first System on this
 // runtime; NewAddr starts right above it, mirroring the DES runtime.
 const serverAddr runtime.Addr = 0
 
-// node is one attached address: a handler plus its mailbox. The queue has
-// its own tiny lock so senders holding the executor lock never block on a
-// mailbox goroutine that is waiting for the executor lock.
-type node struct {
-	h runtime.Handler
-
-	qmu    sync.Mutex
-	qcond  *sync.Cond
-	queue  []envelope
-	closed bool
-}
-
-type envelope struct {
-	from runtime.Addr
-	msg  any
-}
-
-// timer is one scheduled firing. All fields are guarded by the runtime's
-// executor lock.
-type timer struct {
-	t         *time.Timer
-	fn        func()
-	cancelled bool
-	fired     bool
-}
-
 // New creates a live runtime.
 func New(cfg Config) *Runtime {
-	if cfg.AwaitTimeout <= 0 {
-		cfg.AwaitTimeout = 30 * time.Second
-	}
 	return &Runtime{
-		cfg:     cfg,
-		start:   time.Now(),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		nodes:   make(map[runtime.Addr]*node),
-		next:    serverAddr + 1,
-		delayed: make(map[uint64]*time.Timer),
+		Executor: runtime.NewExecutor("live", cfg.Seed, cfg.AwaitTimeout),
+		delay:    cfg.Delay,
+		next:     serverAddr + 1,
+		delayed:  make(map[uint64]*time.Timer),
 	}
-}
-
-// Now returns the wall-clock time since the runtime was created.
-func (r *Runtime) Now() runtime.Time {
-	return runtime.Time(time.Since(r.start) / time.Microsecond)
-}
-
-// Schedule arms a wall-clock timer. The callback takes the executor lock
-// before running, so it has the same isolation as a message handler.
-func (r *Runtime) Schedule(d runtime.Time, fn func()) runtime.Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("live: negative delay %v", d))
-	}
-	if r.closed {
-		return runtime.Handle{}
-	}
-	tm := &timer{fn: fn}
-	tm.t = time.AfterFunc(time.Duration(d)*time.Microsecond, func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if tm.cancelled || r.closed {
-			return
-		}
-		tm.fired = true
-		tm.fn()
-	})
-	return runtime.MakeHandle(tm, 0)
-}
-
-// Unschedule cancels a pending firing. A firing that already won the race
-// (its goroutine holds or will get the executor lock first) reports false.
-func (r *Runtime) Unschedule(h runtime.Handle) bool {
-	tm, ok := h.Impl().(*timer)
-	if !ok || tm.cancelled || tm.fired {
-		return false
-	}
-	tm.cancelled = true
-	tm.t.Stop()
-	return true
-}
-
-// Scheduled reports whether the firing is still pending.
-func (r *Runtime) Scheduled(h runtime.Handle) bool {
-	tm, ok := h.Impl().(*timer)
-	return ok && !tm.cancelled && !tm.fired
 }
 
 // Attach registers a handler and starts its mailbox goroutine. The endpoint
 // is recorded for interface compatibility; the loopback transport has no
 // physical placement, so Host and Capacity do not shape delivery.
 func (r *Runtime) Attach(a runtime.Addr, _ runtime.Endpoint, h runtime.Handler) {
-	if r.closed {
-		return
-	}
-	if old, ok := r.nodes[a]; ok {
-		old.close()
-	}
-	n := &node{h: h}
-	n.qcond = sync.NewCond(&n.qmu)
-	r.nodes[a] = n
-	r.wg.Add(1)
-	go r.deliverLoop(a, n)
+	r.AttachMailbox(a, h)
 }
 
-// Detach removes an address; its mailbox goroutine drains out and queued
-// messages to it are dropped, exactly like packets to a crashed host.
-func (r *Runtime) Detach(a runtime.Addr) {
-	if n, ok := r.nodes[a]; ok {
-		n.close()
-		delete(r.nodes, a)
-	}
-}
+// Detach removes an address; queued messages to it are dropped, exactly
+// like packets to a crashed host.
+func (r *Runtime) Detach(a runtime.Addr) { r.DetachMailbox(a) }
 
 // Attached reports whether the address has a live handler.
-func (r *Runtime) Attached(a runtime.Addr) bool {
-	_, ok := r.nodes[a]
-	return ok
-}
+func (r *Runtime) Attached(a runtime.Addr) bool { return r.HasMailbox(a) }
 
 // Send enqueues msg for delivery. Size only matters to transports that model
 // serialization delay; the loopback transport ignores it. With cfg.Delay set,
@@ -206,88 +94,27 @@ func (r *Runtime) Attached(a runtime.Addr) bool {
 // resolved when the delay fires, not when Send is called: an address that
 // detaches and re-attaches while the message is in flight is live again and
 // must receive it, exactly as a packet addressed to a rebooted host would
-// arrive. (Capturing the *node* at send time silently dropped such messages
-// into the old incarnation's closed mailbox.)
+// arrive.
 func (r *Runtime) Send(from, to runtime.Addr, size int, msg any) {
-	if r.cfg.Delay > 0 {
-		// No liveness check here: with a delay the destination's liveness
-		// is judged at delivery time, like any packet in flight.
-		seq := r.delayedSeq
-		r.delayedSeq++
-		r.delayed[seq] = time.AfterFunc(r.cfg.Delay, func() {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			delete(r.delayed, seq)
-			if r.closed {
-				return
-			}
-			if n, ok := r.nodes[to]; ok {
-				n.enqueue(from, msg)
-			}
-		})
+	if r.delay <= 0 {
+		r.Post(from, to, msg)
 		return
 	}
-	if n, ok := r.nodes[to]; ok {
-		n.enqueue(from, msg)
-	}
+	seq := r.delayedSeq
+	r.delayedSeq++
+	r.delayed[seq] = time.AfterFunc(r.delay, func() {
+		// After Close the ledger entry is already gone and Post finds no
+		// mailbox, so a firing that raced Close delivers nothing.
+		r.Do(func() {
+			delete(r.delayed, seq)
+			r.Post(from, to, msg)
+		})
+	})
 }
 
 // SendLocal enqueues a self-message; it is delivered like any other, on a
 // fresh mailbox turn.
-func (r *Runtime) SendLocal(a runtime.Addr, msg any) {
-	if n, ok := r.nodes[a]; ok {
-		n.enqueue(a, msg)
-	}
-}
-
-// deliverLoop is a node's mailbox goroutine: pop one envelope, take the
-// executor lock, deliver, repeat. It must never hold the queue lock while
-// taking the executor lock, or a sender holding the executor lock would
-// deadlock against it.
-func (r *Runtime) deliverLoop(a runtime.Addr, n *node) {
-	defer r.wg.Done()
-	for {
-		n.qmu.Lock()
-		for len(n.queue) == 0 && !n.closed {
-			n.qcond.Wait()
-		}
-		if n.closed {
-			n.qmu.Unlock()
-			return
-		}
-		env := n.queue[0]
-		n.queue = n.queue[1:]
-		n.qmu.Unlock()
-
-		r.mu.Lock()
-		// Re-check liveness under the executor lock: the node may have
-		// been detached between dequeue and delivery.
-		if cur, ok := r.nodes[a]; ok && cur == n && !r.closed {
-			n.h.Recv(env.from, env.msg)
-		}
-		r.mu.Unlock()
-	}
-}
-
-func (n *node) enqueue(from runtime.Addr, msg any) {
-	n.qmu.Lock()
-	if !n.closed {
-		n.queue = append(n.queue, envelope{from: from, msg: msg})
-		n.qcond.Signal()
-	}
-	n.qmu.Unlock()
-}
-
-func (n *node) close() {
-	n.qmu.Lock()
-	n.closed = true
-	n.queue = nil
-	n.qcond.Broadcast()
-	n.qmu.Unlock()
-}
-
-// Rand returns the runtime's RNG (use only under the execution guarantee).
-func (r *Runtime) Rand() runtime.RNG { return r.rng }
+func (r *Runtime) SendLocal(a runtime.Addr, msg any) { r.Post(a, a, msg) }
 
 // NewAddr allocates the next peer address: 1, 2, … — the same sequence the
 // DES runtime produces, which the conformance tests rely on to compare runs.
@@ -304,62 +131,16 @@ func (r *Runtime) ServerAddr() runtime.Addr { return serverAddr }
 // the protocol falls back to locality-free landmark and id assignment.
 func (r *Runtime) Placement() runtime.Placement { return nil }
 
-// Do runs fn under the executor lock, serialized against every handler and
-// timer callback. It is the only way external code may touch protocol state.
-func (r *Runtime) Do(fn func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	fn()
-}
-
-// Await polls cond under the executor lock until it reports true, yielding
-// between polls so mailboxes and timers can run. It fails after the
-// configured wall-clock timeout.
-func (r *Runtime) Await(cond func() bool) error {
-	deadline := time.Now().Add(r.cfg.AwaitTimeout)
-	for {
-		r.mu.Lock()
-		ok := cond()
-		r.mu.Unlock()
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("live: condition not reached within %v", r.cfg.AwaitTimeout)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-// Sleep blocks the caller for d of wall-clock time while the runtime keeps
-// executing. It must not be called while holding the executor lock (i.e.
-// from inside Do or a handler).
-func (r *Runtime) Sleep(d runtime.Time) {
-	time.Sleep(time.Duration(d) * time.Microsecond)
-}
-
 // Close shuts the runtime down: every mailbox goroutine exits, pending timer
-// firings become no-ops, and every delayed send still in flight is cancelled
-// (a firing that already won the race to its AfterFunc observes the closed
-// flag under the lock and delivers nothing). Close blocks until the
-// mailboxes are gone.
+// firings become no-ops, pending Awaits fail, and every delayed send still
+// in flight is cancelled. Close blocks until the mailboxes are gone.
 func (r *Runtime) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
-	for seq, t := range r.delayed {
-		t.Stop()
-		delete(r.delayed, seq)
-	}
-	for a, n := range r.nodes {
-		n.close()
-		delete(r.nodes, a)
-	}
-	r.mu.Unlock()
-	r.wg.Wait()
+	r.Shutdown(func() {
+		for seq, t := range r.delayed {
+			t.Stop()
+			delete(r.delayed, seq)
+		}
+	})
 }
 
 var _ runtime.Runtime = (*Runtime)(nil)

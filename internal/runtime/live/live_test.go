@@ -78,9 +78,8 @@ func TestDelayedSendToDetachedDropped(t *testing.T) {
 	if got := rec.snapshot(); len(got) != 0 {
 		t.Fatalf("detached address received %v", got)
 	}
-	r.mu.Lock()
-	pending := len(r.delayed)
-	r.mu.Unlock()
+	var pending int
+	r.Do(func() { pending = len(r.delayed) })
 	if pending != 0 {
 		t.Fatalf("%d delayed sends still in the ledger after firing", pending)
 	}
@@ -99,16 +98,13 @@ func TestCloseCancelsDelayedSends(t *testing.T) {
 			r.Send(1, dst, 0, i)
 		}
 	})
-	r.mu.Lock()
-	pending := len(r.delayed)
-	r.mu.Unlock()
+	var pending int
+	r.Do(func() { pending = len(r.delayed) })
 	if pending != 50 {
 		t.Fatalf("ledger holds %d delayed sends before Close, want 50", pending)
 	}
 	r.Close()
-	r.mu.Lock()
-	pending = len(r.delayed)
-	r.mu.Unlock()
+	r.Do(func() { pending = len(r.delayed) })
 	if pending != 0 {
 		t.Fatalf("ledger holds %d delayed sends after Close, want 0", pending)
 	}
@@ -131,7 +127,7 @@ func TestDelayedSendCloseRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				r.Do(func() {
-					if !r.closed {
+					if !r.Closed() {
 						r.Send(2, 1, 0, i)
 					}
 				})

@@ -25,13 +25,13 @@
 //
 // # Execution model
 //
-// Identical to internal/runtime/live, because it solves the same problem:
-// the protocol wants run-to-completion semantics and peers on one process
-// share a System. All protocol execution serializes behind one executor
-// mutex; each attached address has a mailbox goroutine; timers are
-// time.AfterFunc firings that take the executor lock. What differs is only
-// Send: every message — including one whose destination is hosted by the
-// sending process — is encoded by the codec (codec.go), framed in the wire
+// Execution is the shared wall-clock executor's (runtime.Executor), the
+// same one internal/runtime/live embeds: one executor lock serializes every
+// handler, timer callback and Do; each attached address has a mailbox
+// goroutine; timers are time.AfterFunc firings; Await wakes on the turn
+// that completes its condition. This package adds only delivery: every
+// message — including one whose destination is hosted by the sending
+// process — is encoded by the codec (codec.go), framed in the wire
 // envelope (wire.go), and written to the destination process's socket. The
 // uniform path means the conformance suite exercises the codec and framing
 // even in a single process.
@@ -101,24 +101,14 @@ type Config struct {
 // Sleep and Close are the external entry points and may be called from any
 // goroutine.
 type Runtime struct {
+	*runtime.Executor
 	cfg    Config
 	codec  *Codec
-	start  time.Time
 	isBoot bool
 	self   string // advertised endpoint
 	boot   string // bootstrap endpoint (== self on the bootstrap)
 
 	ln nnet.Listener
-
-	mu     sync.Mutex // the executor lock: all protocol execution holds it
-	rng    *rand.Rand
-	closed bool
-
-	// nodes has its own lock (not the executor's) because connection
-	// readers must find mailboxes without ever waiting on protocol
-	// execution. Lock order: mu before nmu; readers take nmu alone.
-	nmu   sync.RWMutex
-	nodes map[runtime.Addr]*node
 
 	// amu guards the bootstrap's address counter; readers answering
 	// JOIN-ALLOC take it, so it must not be the executor lock.
@@ -145,37 +135,12 @@ type Runtime struct {
 	inflight map[uint64]chan envelope
 	msgID    atomic.Uint64
 
-	closedCh chan struct{}
-	wg       sync.WaitGroup // mailbox goroutines
-	readers  sync.WaitGroup // accept loop + connection readers
+	readers sync.WaitGroup // accept loop, connection readers, dial loops
 }
 
 // serverAddr is the bootstrap server's protocol address, hosted by the
 // bootstrap process; NewAddr allocations start right above it.
 const serverAddr runtime.Addr = 0
-
-// node is one attached address: a handler plus its mailbox (identical to the
-// live runtime's — see that package for the lock-ordering discussion).
-type node struct {
-	h runtime.Handler
-
-	qmu    sync.Mutex
-	qcond  *sync.Cond
-	queue  []envelopeLocal
-	closed bool
-}
-
-type envelopeLocal struct {
-	from runtime.Addr
-	msg  any
-}
-
-type timer struct {
-	t         *time.Timer
-	fn        func()
-	cancelled bool
-	fired     bool
-}
 
 // New creates a socket runtime: it binds the listener, starts accepting,
 // and (on non-bootstrap processes) is immediately able to reach the
@@ -186,9 +151,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if len(cfg.Messages) == 0 {
 		return nil, errors.New("net: Config.Messages is required (see core.WireMessages)")
-	}
-	if cfg.AwaitTimeout <= 0 {
-		cfg.AwaitTimeout = 30 * time.Second
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
@@ -213,13 +175,11 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("net: listen %s: %w", cfg.Listen, err)
 	}
 	r := &Runtime{
+		Executor:   runtime.NewExecutor("net", cfg.Seed, cfg.AwaitTimeout),
 		cfg:        cfg,
 		codec:      codec,
-		start:      time.Now(),
 		isBoot:     cfg.Bootstrap == "",
 		ln:         ln,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		nodes:      make(map[runtime.Addr]*node),
 		next:       serverAddr + 1,
 		dir:        newDirectory(),
 		conns:      make(map[string]*wconn),
@@ -227,7 +187,6 @@ func New(cfg Config) (*Runtime, error) {
 		dialFailAt: make(map[string]time.Time),
 		dials:      make(map[string]*dialState),
 		inflight:   make(map[uint64]chan envelope),
-		closedCh:   make(chan struct{}),
 	}
 	r.self = cfg.Advertise
 	if r.self == "" {
@@ -266,51 +225,6 @@ func (r *Runtime) Endpoint() string { return r.self }
 // IsBootstrap reports whether this process hosts address 0 and the broker.
 func (r *Runtime) IsBootstrap() bool { return r.isBoot }
 
-// --- Clock -----------------------------------------------------------------
-
-// Now returns the wall-clock time since the runtime was created.
-func (r *Runtime) Now() runtime.Time {
-	return runtime.Time(time.Since(r.start) / time.Microsecond)
-}
-
-// Schedule arms a wall-clock timer; the callback takes the executor lock.
-func (r *Runtime) Schedule(d runtime.Time, fn func()) runtime.Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("net: negative delay %v", d))
-	}
-	if r.closed {
-		return runtime.Handle{}
-	}
-	tm := &timer{fn: fn}
-	tm.t = time.AfterFunc(time.Duration(d)*time.Microsecond, func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if tm.cancelled || r.closed {
-			return
-		}
-		tm.fired = true
-		tm.fn()
-	})
-	return runtime.MakeHandle(tm, 0)
-}
-
-// Unschedule cancels a pending firing.
-func (r *Runtime) Unschedule(h runtime.Handle) bool {
-	tm, ok := h.Impl().(*timer)
-	if !ok || tm.cancelled || tm.fired {
-		return false
-	}
-	tm.cancelled = true
-	tm.t.Stop()
-	return true
-}
-
-// Scheduled reports whether the firing is still pending.
-func (r *Runtime) Scheduled(h runtime.Handle) bool {
-	tm, ok := h.Impl().(*timer)
-	return ok && !tm.cancelled && !tm.fired
-}
-
 // --- Transport -------------------------------------------------------------
 
 // Attach registers a handler, starts its mailbox goroutine, and announces
@@ -318,20 +232,9 @@ func (r *Runtime) Scheduled(h runtime.Handle) bool {
 // it. The announcement is synchronous: when Attach returns, a response sent
 // to this address by any process resolves.
 func (r *Runtime) Attach(a runtime.Addr, _ runtime.Endpoint, h runtime.Handler) {
-	if r.closed {
+	if !r.AttachMailbox(a, h) {
 		return
 	}
-	n := &node{h: h}
-	n.qcond = sync.NewCond(&n.qmu)
-	r.nmu.Lock()
-	if old, ok := r.nodes[a]; ok {
-		old.close()
-	}
-	r.nodes[a] = n
-	r.nmu.Unlock()
-	r.wg.Add(1)
-	go r.deliverLoop(a, n)
-
 	r.dir.set(int64(a), r.self, true)
 	if !r.isBoot {
 		if _, err := r.rpc(ctrlRegisterReq, registerPayload(int64(a), r.self)); err != nil {
@@ -344,12 +247,7 @@ func (r *Runtime) Attach(a runtime.Addr, _ runtime.Endpoint, h runtime.Handler) 
 // already in flight to it are dropped on arrival, like packets to a crashed
 // host.
 func (r *Runtime) Detach(a runtime.Addr) {
-	r.nmu.Lock()
-	if n, ok := r.nodes[a]; ok {
-		n.close()
-		delete(r.nodes, a)
-	}
-	r.nmu.Unlock()
+	r.DetachMailbox(a)
 	r.dir.markDead(int64(a))
 	if !r.isBoot {
 		if c, err := r.connTo(r.boot); err == nil {
@@ -364,10 +262,7 @@ func (r *Runtime) Detach(a runtime.Addr) {
 // anywhere in the cluster: locally via the node table, elsewhere via the
 // bootstrap's directory (a broker round trip on non-bootstrap processes).
 func (r *Runtime) Attached(a runtime.Addr) bool {
-	r.nmu.RLock()
-	_, local := r.nodes[a]
-	r.nmu.RUnlock()
-	if local {
+	if r.HasMailbox(a) {
 		return true
 	}
 	if r.isBoot {
@@ -389,7 +284,7 @@ func (r *Runtime) Attached(a runtime.Addr) bool {
 // serialization cost on the simulated transports; here the real bytes are
 // the cost.
 func (r *Runtime) Send(from, to runtime.Addr, size int, msg any) {
-	if r.closed {
+	if r.Closed() {
 		return
 	}
 	ep, ok := r.endpointOf(to)
@@ -437,14 +332,7 @@ func (r *Runtime) Send(from, to runtime.Addr, size int, msg any) {
 
 // SendLocal enqueues a self-message directly — it never touches the socket,
 // mirroring the negligible-delay contract.
-func (r *Runtime) SendLocal(a runtime.Addr, msg any) {
-	r.nmu.RLock()
-	n, ok := r.nodes[a]
-	r.nmu.RUnlock()
-	if ok {
-		n.enqueue(a, msg)
-	}
-}
+func (r *Runtime) SendLocal(a runtime.Addr, msg any) { r.Post(a, a, msg) }
 
 // endpointOf resolves an address to its hosting process's endpoint: local
 // cache first, then a broker round trip. Endpoints are immutable once
@@ -469,56 +357,7 @@ func (r *Runtime) endpointOf(a runtime.Addr) (string, bool) {
 	return ep, true
 }
 
-// deliverLoop is a node's mailbox goroutine: pop one envelope, take the
-// executor lock, deliver, repeat (the live runtime's pattern, including the
-// re-check that the address was not detached between dequeue and delivery).
-func (r *Runtime) deliverLoop(a runtime.Addr, n *node) {
-	defer r.wg.Done()
-	for {
-		n.qmu.Lock()
-		for len(n.queue) == 0 && !n.closed {
-			n.qcond.Wait()
-		}
-		if n.closed {
-			n.qmu.Unlock()
-			return
-		}
-		env := n.queue[0]
-		n.queue = n.queue[1:]
-		n.qmu.Unlock()
-
-		r.mu.Lock()
-		r.nmu.RLock()
-		cur, ok := r.nodes[a]
-		r.nmu.RUnlock()
-		if ok && cur == n && !r.closed {
-			n.h.Recv(env.from, env.msg)
-		}
-		r.mu.Unlock()
-	}
-}
-
-func (n *node) enqueue(from runtime.Addr, msg any) {
-	n.qmu.Lock()
-	if !n.closed {
-		n.queue = append(n.queue, envelopeLocal{from: from, msg: msg})
-		n.qcond.Signal()
-	}
-	n.qmu.Unlock()
-}
-
-func (n *node) close() {
-	n.qmu.Lock()
-	n.closed = true
-	n.queue = nil
-	n.qcond.Broadcast()
-	n.qmu.Unlock()
-}
-
 // --- Runtime ---------------------------------------------------------------
-
-// Rand returns the runtime's RNG (use only under the execution guarantee).
-func (r *Runtime) Rand() runtime.RNG { return r.rng }
 
 // NewAddr allocates the next cluster-wide peer address: locally on the
 // bootstrap, via a JOIN-ALLOC broker request elsewhere. Allocation is the
@@ -557,59 +396,15 @@ func (r *Runtime) ServerAddr() runtime.Addr { return serverAddr }
 // Placement returns nil: the socket transport has no physical model.
 func (r *Runtime) Placement() runtime.Placement { return nil }
 
-// Do runs fn under the executor lock.
-func (r *Runtime) Do(fn func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	fn()
-}
-
-// Await polls cond under the executor lock until it reports true, yielding
-// between polls; it fails after the configured wall-clock timeout.
-func (r *Runtime) Await(cond func() bool) error {
-	deadline := time.Now().Add(r.cfg.AwaitTimeout)
-	for {
-		r.mu.Lock()
-		ok := cond()
-		r.mu.Unlock()
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("net: condition not reached within %v", r.cfg.AwaitTimeout)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-// Sleep blocks the caller while the runtime keeps executing. It must not be
-// called while holding the executor lock.
-func (r *Runtime) Sleep(d runtime.Time) {
-	time.Sleep(time.Duration(d) * time.Microsecond)
-}
-
-// Close shuts the runtime down: the listener and every connection close (so
-// all readers exit), mailbox goroutines drain out, pending timer firings
-// become no-ops, and outstanding broker requests fail. Close blocks until
-// every goroutine is gone.
+// Close shuts the runtime down: mailbox goroutines drain out, pending timer
+// firings become no-ops, pending Awaits and outstanding broker requests
+// fail, and the listener and every connection close (so all readers exit).
+// Close blocks until every goroutine is gone.
 func (r *Runtime) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
+	if !r.Shutdown(nil) {
 		return
 	}
-	r.closed = true
-	r.mu.Unlock()
-
-	close(r.closedCh)
 	r.ln.Close()
-
-	r.nmu.Lock()
-	for a, n := range r.nodes {
-		n.close()
-		delete(r.nodes, a)
-	}
-	r.nmu.Unlock()
 
 	r.cmu.Lock()
 	r.connsDown = true
@@ -622,8 +417,6 @@ func (r *Runtime) Close() {
 		delete(r.inbound, c)
 	}
 	r.cmu.Unlock()
-
-	r.wg.Wait()
 	r.readers.Wait()
 }
 
@@ -759,12 +552,12 @@ func (r *Runtime) dialLoop(ep string) {
 			}
 			return
 		}
-		// Jitter half the backoff window. The executor-locked r.rng must not
+		// Jitter half the backoff window. The executor-locked RNG must not
 		// be touched from here; the global source is thread-safe.
 		d := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
 		select {
 		case <-time.After(d):
-		case <-r.closedCh:
+		case <-r.Done():
 			r.abandonDial(ep)
 			return
 		}
@@ -831,7 +624,7 @@ func (r *Runtime) rpc(typ uint16, payload []byte) (envelope, error) {
 		case <-time.After(r.cfg.RPCTimeout):
 			r.unpark(id)
 			lastErr = fmt.Errorf("broker request %#x timed out", typ)
-		case <-r.closedCh:
+		case <-r.Done():
 			r.unpark(id)
 			return envelope{}, errors.New("net: runtime closed")
 		}
@@ -906,13 +699,8 @@ func (r *Runtime) handleFrame(c *wconn, env envelope) {
 			r.cfg.Logf("frame %d->%d: %v", env.From, env.To, err)
 			return
 		}
-		r.nmu.RLock()
-		n, ok := r.nodes[runtime.Addr(env.To)]
-		r.nmu.RUnlock()
-		if ok {
-			n.enqueue(runtime.Addr(env.From), msg)
-		}
-		// else: not attached here — the host is gone (or never was);
+		r.Post(runtime.Addr(env.From), runtime.Addr(env.To), msg)
+		// Post drops a frame to an address not attached here — the host is gone (or never was);
 		// drop, as the unreliable-transport contract promises.
 
 	case env.Type == ctrlAllocReq:

@@ -7,11 +7,12 @@
 // goroutines, wall clocks, physical topologies — lives behind these
 // interfaces.
 //
-// Two implementations exist: internal/simnet provides the deterministic
+// Three implementations exist: internal/simnet provides the deterministic
 // discrete-event runtime the paper's experiments run on (byte-identical
-// output for a given seed), and internal/runtime/live provides a concurrent
-// runtime backed by goroutines, channels and time.Timer for running the same
-// protocol code as a real in-process cluster.
+// output for a given seed), and internal/runtime/live (in-process) and
+// internal/runtime/net (TCP sockets) run the same protocol code as a real
+// cluster. The last two share one wall-clock executor, Executor, and differ
+// only in how a message reaches its destination's mailbox.
 package runtime
 
 import "fmt"

@@ -1,105 +1,15 @@
 #!/bin/sh
-# The repo's verify loop: build, vet (plus staticcheck when installed), tests,
-# the race detector over the full suite (the parallel sweep runner and the
-# shared topology cache are exercised concurrently by the exp tests, so -race
-# is load-bearing here), and finally a benchmark regression guard comparing
-# BenchmarkEventEngine against the recorded baseline in BENCH_PR1.json.
+# The repo's verify loop. The gate list lives in one place, the Makefile's
+# `check` target: build, vet (plus staticcheck when installed), tests, the
+# race detector over the full suite, the fault-injection, determinism,
+# conformance, allocation and routing gates, the introspection, socket and
+# replication smoke clusters, a quick Scale pass, and the BenchmarkEventEngine
+# regression guard against BENCH_PR1.json.
 #
 # Set SKIP_BENCH_GUARD=1 to skip the benchmark guard (e.g. on a loaded or
 # throttled machine where timings are meaningless).
 set -eu
 
 cd "$(dirname "$0")/.."
-
-echo "== go build ./..."
-go build ./...
-
-echo "== go vet ./..."
-go vet ./...
-
-if command -v staticcheck >/dev/null 2>&1; then
-    echo "== staticcheck ./..."
-    staticcheck ./...
-else
-    echo "== staticcheck not installed; skipping (go vet already ran)"
-fi
-
-echo "== go test ./..."
-go test ./...
-
-echo "== go test -race ./..."
-go test -race ./...
-
-# Crash-path gate: churn storms and recovery paths under injected message
-# faults, with the full invariant checker run at every quiescence point.
-# -count=1 defeats the test cache so the gate always actually executes.
-echo "== fault-injection invariant gate"
-go test ./internal/core -count=1 \
-    -run '^(TestChurnStormUnderFaults|TestRecoveryPathsUnderFaults|TestSustainedChurnKeepsInvariants)$'
-
-# Determinism gate: with the fault layer compiled in but disabled, sweep
-# output must stay byte-identical to a build with no fault layer armed.
-echo "== fault-layer-off determinism gate"
-go test ./internal/exp -count=1 \
-    -run '^(TestFaultLayerOffIsByteIdentical|TestParallelSweepDeterminism)$'
-
-# Cross-runtime conformance gate: the same join/store/crash/lookup scenario
-# on the DES, the live goroutine runtime and the TCP socket runtime, the
-# structural audit green on all three, under the race detector. -count=1 so
-# the wall-clock halves always execute.
-echo "== cross-runtime conformance gate (DES vs live vs net, -race)"
-go test -race ./internal/conformance -count=1
-
-# Allocation budgets: the event-engine hot path must stay at zero allocs per
-# event, and a no-churn lookup must stay within its per-op budget. -count=1
-# defeats the cache; these are the cheap tripwires for the pooling work.
-echo "== allocation budget gate (event engine, lookup path, histogram record)"
-go test . -count=1 -run '^(TestEventEngineAllocFree|TestLookupAllocBudget)$'
-go test ./internal/obs -count=1 -run '^TestHistogramRecordAllocFree$'
-
-# Routing-seam gate: Kademlia baseline unit tests, four-arm baseline
-# determinism (two full RunBaselines passes byte-identical), the α-parallel
-# + path-cache ablation acceptance test, and the path-cache invalidation
-# suite under churn. -count=1 defeats the cache so the gates always execute.
-echo "== routing-seam gate (kad, baseline determinism, alpha/path-cache ablation)"
-go test ./internal/kad -count=1
-go test ./internal/exp -count=1 \
-    -run '^(TestBaselinesDeterminism|TestAblationRoutingGate)$'
-go test ./internal/core -count=1 \
-    -run '^(TestPathCache|TestAlphaProbes)'
-
-# Introspection smoke gate: boot a live hybridnode with -http, poll /healthz
-# until the ring-health sampler reports healthy, and assert /metrics serves
-# well-formed Prometheus exposition (see scripts/introspect_smoke.sh).
-echo "== introspection smoke gate (hybridnode -http)"
-sh ./scripts/introspect_smoke.sh
-
-# Multi-process smoke gate: a 3-process hybridnode TCP cluster on loopback —
-# cross-process store/lookup, a SIGKILLed worker, /healthz back to green on
-# the survivors, clean SIGTERM shutdown (see scripts/net_smoke.sh).
-echo "== multi-process socket smoke gate (hybridnode -addr/-bootstrap)"
-sh ./scripts/net_smoke.sh
-
-# Replication smoke gate: a 4-process cluster at k=3 stores 50 keys through
-# the /kv surface, both all-s workers are SIGKILLed, and every key must still
-# be readable with /healthz back at zero replica deficit (see
-# scripts/replication_smoke.sh).
-echo "== replication smoke gate (hybridnode -k 3, /kv, 2-process kill)"
-sh ./scripts/replication_smoke.sh
-
-# Quick scale point: one reduced build-and-drive pass through the Scale
-# experiment (peers/GB, events/sec). Catches OOM-class regressions in the
-# dense peer/finger tables; the full 10k/100k/1M ladder is `make benchscale`
-# and `go run ./cmd/paperexp -run Scale`.
-echo "== quick scale sweep (Scale, n=2000)"
-go run ./cmd/paperexp -run Scale -quick -n 2000 >/dev/null
-
-if [ "${SKIP_BENCH_GUARD:-0}" = "1" ]; then
-    echo "== bench guard skipped (SKIP_BENCH_GUARD=1)"
-else
-    echo "== bench guard: BenchmarkEventEngine vs BENCH_PR1.json (best of 3, 20% tolerance)"
-    go test -run='^$' -bench='^BenchmarkEventEngine$' -benchtime=2s -count=3 . \
-        | go run ./cmd/benchjson -baseline BENCH_PR1.json -bench BenchmarkEventEngine -tolerance 0.2
-fi
-
+make check
 echo "check: OK"
